@@ -32,7 +32,10 @@
 //!
 //! Rendering goes through `Renderer::render_into`, the caller-owned-
 //! target entry point of `uni_renderers` — sessions are the canonical
-//! consumer of that API.
+//! consumer of that API. Frames that are simulated go through
+//! `Renderer::render_traced_into` instead, which yields the image and
+//! the trace from one render pass wherever the frame is within the
+//! probe cap.
 
 pub mod fleet;
 pub mod path;

@@ -1524,8 +1524,9 @@ impl RenderServer {
                         let state = &mut *guard;
                         let camera = degraded_camera(state.path.camera(index), res_shift);
                         let mut image = state.pool.acquire_for(camera.width, camera.height);
-                        state.renderer.render_into(&scene, &camera, &mut image);
-                        let trace = state.renderer.trace(&scene, &camera);
+                        let trace = state
+                            .renderer
+                            .render_traced_into(&scene, &camera, &mut image);
                         Staged {
                             camera,
                             image,
@@ -1554,14 +1555,18 @@ impl RenderServer {
                     let state = &mut *guard;
                     let camera = degraded_camera(state.path.camera(index), res_shift);
                     let mut image = state.pool.acquire_for(camera.width, camera.height);
-                    state.renderer.render_into(&scene, &camera, &mut image);
                     let (trace, sim) = match &accel {
                         Some(accel) => {
-                            let trace = state.renderer.trace(&scene, &camera);
+                            let trace = state
+                                .renderer
+                                .render_traced_into(&scene, &camera, &mut image);
                             let sim = accel.simulate_with_scratch(&trace, &mut state.replay);
                             (Some(trace), Some(sim))
                         }
-                        None => (None, None),
+                        None => {
+                            state.renderer.render_into(&scene, &camera, &mut image);
+                            (None, None)
+                        }
                     };
                     Rendered {
                         camera,

@@ -250,23 +250,26 @@ impl RenderSession {
         let index = self.cursor;
         self.cursor += 1;
         let camera = self.path.camera(index);
-        // `render_into` resizes and overwrites the target, so the
+        // Rendering resizes and overwrites the target, so the
         // acquired buffer arrives untouched (one full-frame fill per
         // frame, not two). `acquire_for` also counts the reallocation a
         // mid-stream resolution growth is about to pay.
         let mut image = self.pool.acquire_for(camera.width, camera.height);
-        self.renderer.render_into(&self.scene, &camera, &mut image);
 
         let mut trace_out = None;
         let mut sim_out = None;
         let mut boundary = false;
         if let Some(accel) = self.accel.clone() {
-            let trace = self.renderer.trace(&self.scene, &camera);
+            let trace = self
+                .renderer
+                .render_traced_into(&self.scene, &camera, &mut image);
             let sim = accel
                 .simulate_with_scratch(&trace, &mut self.replay.lock().expect("replay scratch"));
             boundary = self.account_frame(accel.config(), &trace, &sim);
             trace_out = Some(trace);
             sim_out = Some(sim);
+        } else {
+            self.renderer.render_into(&self.scene, &camera, &mut image);
         }
         self.frames_done += 1;
         Some(FrameReport {
@@ -319,8 +322,9 @@ impl RenderSession {
         self.cursor += 1;
         let camera = self.path.camera(index);
         let mut image = self.pool.acquire_for(camera.width, camera.height);
-        self.renderer.render_into(&self.scene, &camera, &mut image);
-        let trace = self.renderer.trace(&self.scene, &camera);
+        let trace = self
+            .renderer
+            .render_traced_into(&self.scene, &camera, &mut image);
         let accel = Arc::clone(
             self.accel
                 .as_ref()

@@ -38,7 +38,7 @@
 //! `alpha < 1/255` test would also reject after the `exp`.
 
 use crate::blending::RayAccumulator;
-use crate::probe::Probe;
+use crate::probe::{self, Counted, Probe};
 use crate::Renderer;
 use std::cell::RefCell;
 use uni_geometry::{Camera, Image, Rgb};
@@ -176,7 +176,7 @@ fn tile_range(
 }
 
 #[derive(Debug, Clone, Copy, Default)]
-struct SplatStats {
+pub(crate) struct SplatStats {
     gaussians_streamed: u64,
     visible_splats: u64,
     patch_pairs: u64,
@@ -373,18 +373,6 @@ thread_local! {
 }
 
 impl GaussianPipeline {
-    fn render_internal(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        target: &mut Image,
-    ) -> SplatStats {
-        SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            self.render_soa(scene, camera, &mut scratch, target)
-        })
-    }
-
     // uni-lint: hot
     #[allow(clippy::too_many_lines)]
     fn render_soa(
@@ -831,14 +819,40 @@ impl Renderer for GaussianPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
+        self.render_counted(scene, camera, target);
     }
 
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let stats = crate::scratch::with_probe_target(|img| {
-            self.render_internal(scene, &probe.camera, img)
-        });
+        probe::trace(self, scene, camera)
+    }
+
+    fn render_traced_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        probe::render_traced_into(self, scene, camera, target)
+    }
+}
+
+impl Counted for GaussianPipeline {
+    type Stats = SplatStats;
+
+    fn render_counted(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        target: &mut Image,
+    ) -> SplatStats {
+        SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            self.render_soa(scene, camera, &mut scratch, target)
+        })
+    }
+
+    fn trace_from_stats(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        probe: &Probe,
+        stats: SplatStats,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::Gaussian3d, camera.width, camera.height);
 
         let repr = &scene.spec().repr;
@@ -984,8 +998,7 @@ mod tests {
     fn splat_stats_are_consistent() {
         let scene = testutil::scene();
         let camera = testutil::camera(scene, 96, 64);
-        let stats =
-            GaussianPipeline::default().render_internal(scene, &camera, &mut Image::empty());
+        let stats = GaussianPipeline::default().render_counted(scene, &camera, &mut Image::empty());
         assert!(stats.visible_splats > 0);
         assert!(stats.visible_splats <= stats.gaussians_streamed);
         assert!(stats.blended_pairs <= stats.candidate_pairs);

@@ -7,7 +7,7 @@
 //! never reach the decoder).
 
 use crate::blending::RayAccumulator;
-use crate::probe::Probe;
+use crate::probe::{self, Counted, Probe};
 use crate::Renderer;
 use uni_geometry::sampling::XorShift64;
 use uni_geometry::{Camera, Image, Rgb, StratifiedSampler};
@@ -19,7 +19,7 @@ use uni_scene::{BakedScene, PEAK_DENSITY};
 pub struct HashGridPipeline {}
 
 #[derive(Debug, Clone, Copy, Default)]
-struct HashStats {
+pub(crate) struct HashStats {
     rays: u64,
     rays_in_bounds: u64,
     /// Samples tested against the occupancy proxy (cheap dense-level read).
@@ -110,38 +110,6 @@ impl HashGridPipeline {
         stats
     }
 
-    fn render_internal(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        target: &mut Image,
-    ) -> HashStats {
-        let bg = scene.field().background();
-        target.resize(camera.width, camera.height, bg);
-        let width = camera.width as usize;
-        let band_len = crate::scratch::BAND_ROWS as usize * width;
-        uni_parallel::par_bands_fold(
-            target.pixels_mut(),
-            band_len,
-            HashStats::default(),
-            |band, chunk| {
-                crate::scratch::with_ray_scratch(|rs| {
-                    self.render_rows(
-                        scene,
-                        camera,
-                        band as u32 * crate::scratch::BAND_ROWS,
-                        chunk,
-                        rs,
-                    )
-                })
-            },
-            |mut acc, s| {
-                acc.merge(s);
-                acc
-            },
-        )
-    }
-
     /// The seed-era scalar reference path: single-threaded, allocating a
     /// fresh sample vector per ray and fresh decoder activations per
     /// sample, probing and fetching through the uncached per-call
@@ -200,14 +168,55 @@ impl Renderer for HashGridPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
+        self.render_counted(scene, camera, target);
     }
 
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let stats = crate::scratch::with_probe_target(|img| {
-            self.render_internal(scene, &probe.camera, img)
-        });
+        probe::trace(self, scene, camera)
+    }
+
+    fn render_traced_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        probe::render_traced_into(self, scene, camera, target)
+    }
+}
+
+impl Counted for HashGridPipeline {
+    type Stats = HashStats;
+
+    fn render_counted(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> HashStats {
+        let bg = scene.field().background();
+        target.resize(camera.width, camera.height, bg);
+        let width = camera.width as usize;
+        let band_len = crate::scratch::BAND_ROWS as usize * width;
+        uni_parallel::par_bands_fold(
+            target.pixels_mut(),
+            band_len,
+            HashStats::default(),
+            |band, chunk| {
+                crate::scratch::with_ray_scratch(|rs| {
+                    self.render_rows(
+                        scene,
+                        camera,
+                        band as u32 * crate::scratch::BAND_ROWS,
+                        chunk,
+                        rs,
+                    )
+                })
+            },
+            |mut acc, s| {
+                acc.merge(s);
+                acc
+            },
+        )
+    }
+
+    fn trace_from_stats(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        probe: &Probe,
+        stats: HashStats,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::HashGrid, camera.width, camera.height);
 
         let repr = &scene.spec().repr;
@@ -338,8 +347,7 @@ mod tests {
     fn occupancy_skip_gates_the_fetch() {
         let scene = testutil::scene();
         let camera = testutil::camera(scene, 64, 48);
-        let stats =
-            HashGridPipeline::default().render_internal(scene, &camera, &mut Image::empty());
+        let stats = HashGridPipeline::default().render_counted(scene, &camera, &mut Image::empty());
         assert!(stats.samples_marched > 0);
         assert!(stats.samples_fetched > 0, "some samples survive the gate");
         assert!(

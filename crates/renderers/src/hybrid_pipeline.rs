@@ -8,12 +8,14 @@
 //! the pipeline that crosses the most micro-operator families per frame —
 //! the stress test for the accelerator's reconfigurability.
 
-use crate::mesh_pipeline::{rasterize, rasterize_scalar, PixelHitPublic};
-use crate::probe::Probe;
+use crate::mesh_pipeline::{
+    count_raster, push_raster_stages, rasterize_into, rasterize_scalar, PixelHitPublic, RasterStats,
+};
+use crate::probe::{self, Counted, Probe};
 use crate::Renderer;
 use uni_geometry::{Camera, Image, Rgb};
-use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, PrimitiveKind, Trace, Workload};
-use uni_scene::{BakedScene, TriangleMesh, PEAK_DENSITY};
+use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, Trace, Workload};
+use uni_scene::{BakedScene, PEAK_DENSITY};
 
 /// The hybrid mesh + hash-grid pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,12 +89,33 @@ impl Renderer for MixRtPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
+        self.render_counted(scene, camera, target);
+    }
+
+    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
+        probe::trace(self, scene, camera)
+    }
+
+    fn render_traced_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        probe::render_traced_into(self, scene, camera, target)
+    }
+}
+
+impl Counted for MixRtPipeline {
+    type Stats = RasterStats;
+
+    fn render_counted(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        target: &mut Image,
+    ) -> RasterStats {
         let bg = scene.field().background();
         target.resize(camera.width, camera.height, bg);
         let width = camera.width as usize;
         let band_rows = crate::scratch::BAND_ROWS;
         crate::scratch::with_raster_scratch(|raster| {
-            crate::mesh_pipeline::rasterize_into(scene.mesh(), camera, raster);
+            let stats = rasterize_into(scene.mesh(), camera, raster);
             let hits = &raster.zbuf;
             uni_parallel::par_bands(
                 target.pixels_mut(),
@@ -103,48 +126,25 @@ impl Renderer for MixRtPipeline {
                     });
                 },
             );
-        });
+            stats
+        })
     }
 
-    fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let (_, stats) = {
-            let (hits, stats) = rasterize(scene.mesh(), &probe.camera);
-            (hits, stats)
-        };
+    fn count(&self, scene: &BakedScene, camera: &Camera) -> RasterStats {
+        count_raster(scene.mesh(), camera)
+    }
+
+    fn trace_from_stats(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        probe: &Probe,
+        stats: RasterStats,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::HybridMixRt, camera.width, camera.height);
-
+        push_raster_stages(&mut trace, scene, camera, probe, &stats);
         let repr = &scene.spec().repr;
-        let full_tris = u64::from(repr.target_triangles);
-        let baked_tris = scene.mesh().triangle_count().max(1) as u64;
-        let tri_ratio = full_tris as f64 / baked_tris as f64;
-        let verts = (stats.vertices_projected as f64 * tri_ratio) as u64;
-        let streamed = (stats.triangles_streamed as f64 * tri_ratio) as u64;
         let covered = probe.scale(stats.covered_pixels);
-
-        // (1) Space conversion.
-        trace.push(Invocation::new(
-            "space conversion",
-            Workload::Gemm {
-                batch: verts,
-                in_dim: 4,
-                out_dim: 4,
-                weight_bytes: 32,
-            },
-        ));
-
-        // (2) Rasterization.
-        trace.push(Invocation::new(
-            "rasterization",
-            Workload::Geometric {
-                kind: PrimitiveKind::Triangle,
-                primitives: streamed,
-                candidate_pairs: probe.scale(stats.candidate_pairs),
-                hits: probe.scale(stats.zbuffer_updates),
-                prim_bytes: TriangleMesh::BYTES_PER_TRIANGLE,
-                output_pixels: camera.pixel_count(),
-            },
-        ));
 
         // (3) One hash fetch per covered pixel (MixRT stores a reduced
         // color field — half the full hash budget, since surface shading

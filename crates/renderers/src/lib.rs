@@ -15,7 +15,8 @@
 //! Every pipeline implements [`Renderer`]: it can `render` an image *and*
 //! `trace` the frame's decomposition into the five common micro-operators of
 //! Sec. IV — the trace drives the Uni-Render accelerator simulator and
-//! every baseline device model.
+//! every baseline device model. `render_traced_into` does both in one
+//! pass wherever the frame is within the probe cap (see [`probe`]).
 
 pub mod blending;
 pub mod gaussian_pipeline;
@@ -49,6 +50,9 @@ use uni_scene::BakedScene;
 /// `uni-engine` sessions, the benches) therefore allocate one framebuffer
 /// up front and render every subsequent frame allocation-free.
 /// [`Renderer::render`] is a convenience wrapper for one-shot callers.
+/// Frames that are also simulated take [`Renderer::render_traced_into`],
+/// which at serving resolutions (at or below the probe cap) reuses the
+/// real render's work counts for the trace.
 pub trait Renderer {
     /// Which pipeline family this renderer implements.
     fn pipeline(&self) -> Pipeline;
@@ -71,8 +75,24 @@ pub trait Renderer {
     ///
     /// Workload counts are gathered by rendering at a capped probe
     /// resolution and scaling resolution-dependent quantities — see
-    /// [`probe`].
+    /// [`probe`]. A caller that also needs the frame's image should call
+    /// [`Renderer::render_traced_into`] instead: at or below the cap the
+    /// probe render here repeats the real one.
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace;
+
+    /// Renders one frame into `target` and returns its trace: the image
+    /// equals [`Renderer::render_into`]'s and the trace equals
+    /// [`Renderer::trace`]'s, bit for bit.
+    ///
+    /// This is the serving path's entry point for accelerated frames.
+    /// The default runs `render_into` and then `trace`, so it is correct
+    /// for any renderer. The six pipelines override it: at or below the
+    /// probe cap the probe *is* the frame, and they build the trace from the
+    /// counts of the one real render instead of rendering a second time.
+    fn render_traced_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        self.render_into(scene, camera, target);
+        self.trace(scene, camera)
+    }
 }
 
 /// Constructs every typical pipeline (Tab. I order) with default settings.

@@ -6,7 +6,7 @@
 //! and a small *deferred* MLP adds view-dependent color once per pixel.
 
 use crate::blending::RayAccumulator;
-use crate::probe::Probe;
+use crate::probe::{self, Counted, Probe};
 use crate::{emit_mlp_layers, Renderer};
 use uni_geometry::sampling::XorShift64;
 use uni_geometry::{Camera, Image, Rgb, StratifiedSampler};
@@ -18,7 +18,7 @@ use uni_scene::{BakedScene, PEAK_DENSITY};
 pub struct LowRankPipeline {}
 
 #[derive(Debug, Clone, Copy, Default)]
-struct LowRankStats {
+pub(crate) struct LowRankStats {
     rays: u64,
     rays_in_bounds: u64,
     samples_tested: u64,
@@ -126,38 +126,6 @@ impl LowRankPipeline {
         stats
     }
 
-    fn render_internal(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        target: &mut Image,
-    ) -> LowRankStats {
-        let bg = scene.field().background();
-        target.resize(camera.width, camera.height, bg);
-        let width = camera.width as usize;
-        let band_len = crate::scratch::BAND_ROWS as usize * width;
-        uni_parallel::par_bands_fold(
-            target.pixels_mut(),
-            band_len,
-            LowRankStats::default(),
-            |band, chunk| {
-                crate::scratch::with_ray_scratch(|rs| {
-                    self.render_rows(
-                        scene,
-                        camera,
-                        band as u32 * crate::scratch::BAND_ROWS,
-                        chunk,
-                        rs,
-                    )
-                })
-            },
-            |mut acc, s| {
-                acc.merge(s);
-                acc
-            },
-        )
-    }
-
     /// The seed-era scalar reference path: single-threaded, allocating a
     /// fresh sample vector per ray and fresh deferred-MLP activations per
     /// covered pixel, decoded with the scalar row-dot kernel. Parity
@@ -230,14 +198,60 @@ impl Renderer for LowRankPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
+        self.render_counted(scene, camera, target);
     }
 
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let stats = crate::scratch::with_probe_target(|img| {
-            self.render_internal(scene, &probe.camera, img)
-        });
+        probe::trace(self, scene, camera)
+    }
+
+    fn render_traced_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        probe::render_traced_into(self, scene, camera, target)
+    }
+}
+
+impl Counted for LowRankPipeline {
+    type Stats = LowRankStats;
+
+    fn render_counted(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        target: &mut Image,
+    ) -> LowRankStats {
+        let bg = scene.field().background();
+        target.resize(camera.width, camera.height, bg);
+        let width = camera.width as usize;
+        let band_len = crate::scratch::BAND_ROWS as usize * width;
+        uni_parallel::par_bands_fold(
+            target.pixels_mut(),
+            band_len,
+            LowRankStats::default(),
+            |band, chunk| {
+                crate::scratch::with_ray_scratch(|rs| {
+                    self.render_rows(
+                        scene,
+                        camera,
+                        band as u32 * crate::scratch::BAND_ROWS,
+                        chunk,
+                        rs,
+                    )
+                })
+            },
+            |mut acc, s| {
+                acc.merge(s);
+                acc
+            },
+        )
+    }
+
+    fn trace_from_stats(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        probe: &Probe,
+        stats: LowRankStats,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::LowRankGrid, camera.width, camera.height);
 
         let repr = &scene.spec().repr;

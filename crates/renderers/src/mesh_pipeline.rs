@@ -5,7 +5,7 @@
 //! texture atlas, rasterized with a Z-buffer, shaded by a small deferred
 //! MLP for view-dependent color.
 
-use crate::probe::Probe;
+use crate::probe::{self, Counted, Probe};
 use crate::{emit_mlp_layers, Renderer};
 use uni_geometry::{Camera, Image, Rgb, Vec2, Vec3};
 use uni_microops::{Dims, IndexFunction, Invocation, Pipeline, PrimitiveKind, Trace, Workload};
@@ -125,22 +125,20 @@ fn rasterize_rows(
     stats
 }
 
-/// Rasterizes the mesh into a per-pixel hit buffer with exact work
-/// counts, processing bands of rows in parallel. Allocates fresh
-/// buffers; the frame paths reuse a [`crate::scratch::RasterScratch`]
-/// through [`rasterize_into`] instead.
-pub(crate) fn rasterize(
-    mesh: &TriangleMesh,
-    camera: &Camera,
-) -> (Vec<Option<PixelHitPublic>>, RasterStats) {
+/// Rasterizes the mesh into a freshly allocated per-pixel hit buffer
+/// with exact work counts (test helper; the frame paths reuse a
+/// [`crate::scratch::RasterScratch`] through [`rasterize_into`]).
+#[cfg(test)]
+fn rasterize(mesh: &TriangleMesh, camera: &Camera) -> (Vec<Option<PixelHitPublic>>, RasterStats) {
     let mut rs = crate::scratch::RasterScratch::default();
     let stats = rasterize_into(mesh, camera, &mut rs);
     (rs.zbuf, stats)
 }
 
-/// [`rasterize`] into caller-owned buffers: `rs.zbuf` holds the hit
-/// buffer on return, and both it and the projected-vertex cache reuse
-/// their capacity across frames.
+/// Rasterizes the mesh into caller-owned buffers with exact work counts,
+/// processing bands of rows in parallel: `rs.zbuf` holds the per-pixel
+/// hit buffer on return, and both it and the projected-vertex cache
+/// reuse their capacity across frames.
 pub(crate) fn rasterize_into(
     mesh: &TriangleMesh,
     camera: &Camera,
@@ -201,6 +199,58 @@ pub(crate) struct PixelHitPublic {
     pub triangle: u32,
     pub bary: (f32, f32, f32),
     pub depth: f32,
+}
+
+/// Rasterizes at `camera` for the work counts alone, into this thread's
+/// reusable raster scratch (no shading, no framebuffer).
+pub(crate) fn count_raster(mesh: &TriangleMesh, camera: &Camera) -> RasterStats {
+    crate::scratch::with_raster_scratch(|rs| rasterize_into(mesh, camera, rs))
+}
+
+/// Pushes the two geometry stages every rasterizing pipeline shares —
+/// space conversion and rasterization — built from rasterizer counts
+/// gathered at `probe.camera`.
+pub(crate) fn push_raster_stages(
+    trace: &mut Trace,
+    scene: &BakedScene,
+    camera: &Camera,
+    probe: &Probe,
+    stats: &RasterStats,
+) {
+    // Full-scale workload constants come from the spec (the baked
+    // representation may be detail-scaled for tests); coverage ratios
+    // come from the probe rasterization.
+    let full_tris = u64::from(scene.spec().repr.target_triangles);
+    let baked_tris = scene.mesh().triangle_count().max(1) as u64;
+    let tri_ratio = full_tris as f64 / baked_tris as f64;
+    let verts = (stats.vertices_projected as f64 * tri_ratio) as u64;
+    let streamed = (stats.triangles_streamed as f64 * tri_ratio) as u64;
+
+    // (1) Space conversion: 4×4 view-projection per vertex (GEMM).
+    trace.push(Invocation::new(
+        "space conversion",
+        Workload::Gemm {
+            batch: verts,
+            in_dim: 4,
+            out_dim: 4,
+            weight_bytes: 32,
+        },
+    ));
+
+    // (2) Rasterization (Geometric Processing). Candidate pairs are
+    // resolution-driven (bounding-box coverage), not triangle-count
+    // driven, so the probe measurement scales by pixels only.
+    trace.push(Invocation::new(
+        "rasterization",
+        Workload::Geometric {
+            kind: PrimitiveKind::Triangle,
+            primitives: streamed,
+            candidate_pairs: probe.scale(stats.candidate_pairs),
+            hits: probe.scale(stats.zbuffer_updates),
+            prim_bytes: TriangleMesh::BYTES_PER_TRIANGLE,
+            output_pixels: camera.pixel_count(),
+        },
+    ));
 }
 
 impl MeshPipeline {
@@ -292,52 +342,48 @@ impl Renderer for MeshPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        crate::scratch::with_raster_scratch(|rs| {
-            rasterize_into(scene.mesh(), camera, rs);
-            self.shade_into(scene, camera, &rs.zbuf, target);
-        });
+        self.render_counted(scene, camera, target);
     }
 
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let (_, stats) = rasterize(scene.mesh(), &probe.camera);
+        probe::trace(self, scene, camera)
+    }
+
+    fn render_traced_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        probe::render_traced_into(self, scene, camera, target)
+    }
+}
+
+impl Counted for MeshPipeline {
+    type Stats = RasterStats;
+
+    fn render_counted(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        target: &mut Image,
+    ) -> RasterStats {
+        crate::scratch::with_raster_scratch(|rs| {
+            let stats = rasterize_into(scene.mesh(), camera, rs);
+            self.shade_into(scene, camera, &rs.zbuf, target);
+            stats
+        })
+    }
+
+    fn count(&self, scene: &BakedScene, camera: &Camera) -> RasterStats {
+        count_raster(scene.mesh(), camera)
+    }
+
+    fn trace_from_stats(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        probe: &Probe,
+        stats: RasterStats,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::Mesh, camera.width, camera.height);
-
-        // Full-scale workload constants come from the spec (the baked
-        // representation may be detail-scaled for tests); coverage ratios
-        // come from the probe rasterization.
+        push_raster_stages(&mut trace, scene, camera, probe, &stats);
         let repr = &scene.spec().repr;
-        let full_tris = u64::from(repr.target_triangles);
-        let baked_tris = scene.mesh().triangle_count().max(1) as u64;
-        let tri_ratio = full_tris as f64 / baked_tris as f64;
-        let verts = (stats.vertices_projected as f64 * tri_ratio) as u64;
-        let streamed = (stats.triangles_streamed as f64 * tri_ratio) as u64;
-
-        // (1) Space conversion: 4×4 view-projection per vertex (GEMM).
-        trace.push(Invocation::new(
-            "space conversion",
-            Workload::Gemm {
-                batch: verts,
-                in_dim: 4,
-                out_dim: 4,
-                weight_bytes: 32,
-            },
-        ));
-
-        // (2) Rasterization (Geometric Processing). Candidate pairs are
-        // resolution-driven (bounding-box coverage), not triangle-count
-        // driven, so the probe measurement scales by pixels only.
-        trace.push(Invocation::new(
-            "rasterization",
-            Workload::Geometric {
-                kind: PrimitiveKind::Triangle,
-                primitives: streamed,
-                candidate_pairs: probe.scale(stats.candidate_pairs),
-                hits: probe.scale(stats.zbuffer_updates),
-                prim_bytes: TriangleMesh::BYTES_PER_TRIANGLE,
-                output_pixels: camera.pixel_count(),
-            },
-        ));
 
         // (3) Texture indexing (Combined Grid Indexing, bilinear).
         // MobileNeRF-style bakes fetch *two* deferred-feature textures per

@@ -9,7 +9,7 @@
 //! default because it assumes slow camera motion.
 
 use crate::blending::RayAccumulator;
-use crate::probe::Probe;
+use crate::probe::{self, Counted, Probe};
 use crate::Renderer;
 use uni_geometry::sampling::XorShift64;
 use uni_geometry::{Camera, Image, Rgb, StratifiedSampler};
@@ -36,7 +36,7 @@ impl MlpPipeline {
 }
 
 #[derive(Debug, Clone, Copy, Default)]
-struct VolumeStats {
+pub(crate) struct VolumeStats {
     rays: u64,
     rays_in_bounds: u64,
     samples_tested: u64,
@@ -107,38 +107,6 @@ impl MlpPipeline {
         stats
     }
 
-    fn render_internal(
-        &self,
-        scene: &BakedScene,
-        camera: &Camera,
-        target: &mut Image,
-    ) -> VolumeStats {
-        let field_bg = scene.field().background();
-        target.resize(camera.width, camera.height, field_bg);
-        let width = camera.width as usize;
-        let band_len = crate::scratch::BAND_ROWS as usize * width;
-        uni_parallel::par_bands_fold(
-            target.pixels_mut(),
-            band_len,
-            VolumeStats::default(),
-            |band, chunk| {
-                crate::scratch::with_ray_scratch(|rs| {
-                    self.render_rows(
-                        scene,
-                        camera,
-                        band as u32 * crate::scratch::BAND_ROWS,
-                        chunk,
-                        rs,
-                    )
-                })
-            },
-            |mut acc, s| {
-                acc.merge(s);
-                acc
-            },
-        )
-    }
-
     /// The seed-era scalar reference path: single-threaded, allocating a
     /// fresh sample vector per ray and fresh MLP activations per query.
     /// Parity baseline and the "before" side of `benches/render_hot.rs`.
@@ -181,14 +149,60 @@ impl Renderer for MlpPipeline {
     }
 
     fn render_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) {
-        self.render_internal(scene, camera, target);
+        self.render_counted(scene, camera, target);
     }
 
     fn trace(&self, scene: &BakedScene, camera: &Camera) -> Trace {
-        let probe = Probe::plan(camera);
-        let stats = crate::scratch::with_probe_target(|img| {
-            self.render_internal(scene, &probe.camera, img)
-        });
+        probe::trace(self, scene, camera)
+    }
+
+    fn render_traced_into(&self, scene: &BakedScene, camera: &Camera, target: &mut Image) -> Trace {
+        probe::render_traced_into(self, scene, camera, target)
+    }
+}
+
+impl Counted for MlpPipeline {
+    type Stats = VolumeStats;
+
+    fn render_counted(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        target: &mut Image,
+    ) -> VolumeStats {
+        let field_bg = scene.field().background();
+        target.resize(camera.width, camera.height, field_bg);
+        let width = camera.width as usize;
+        let band_len = crate::scratch::BAND_ROWS as usize * width;
+        uni_parallel::par_bands_fold(
+            target.pixels_mut(),
+            band_len,
+            VolumeStats::default(),
+            |band, chunk| {
+                crate::scratch::with_ray_scratch(|rs| {
+                    self.render_rows(
+                        scene,
+                        camera,
+                        band as u32 * crate::scratch::BAND_ROWS,
+                        chunk,
+                        rs,
+                    )
+                })
+            },
+            |mut acc, s| {
+                acc.merge(s);
+                acc
+            },
+        )
+    }
+
+    fn trace_from_stats(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        probe: &Probe,
+        stats: VolumeStats,
+    ) -> Trace {
         let mut trace = Trace::new(Pipeline::Mlp, camera.width, camera.height);
 
         let repr = &scene.spec().repr; // Full-scale constants.
@@ -309,7 +323,7 @@ mod tests {
     fn occupancy_skip_reduces_mlp_evaluations() {
         let scene = testutil::scene();
         let camera = testutil::camera(scene, 64, 48);
-        let stats = MlpPipeline::default().render_internal(scene, &camera, &mut Image::empty());
+        let stats = MlpPipeline::default().render_counted(scene, &camera, &mut Image::empty());
         assert!(stats.samples_tested > 0);
         assert!(
             stats.samples_occupied < stats.samples_tested,

@@ -6,8 +6,17 @@
 //! renders at a capped *probe* resolution, counts its work exactly, and
 //! scales the resolution-proportional quantities by the pixel ratio —
 //! per-primitive quantities (vertex projection, splat setup) stay exact.
+//!
+//! At or below the cap the probe *is* the frame ([`Probe::is_identity`]),
+//! so a separate probe render would repeat the real one. The serving
+//! path ([`crate::Renderer::render_traced_into`]) therefore renders once
+//! and builds the trace from that render's own counts; only frames above
+//! the cap pay for a second, probe-sized render.
 
-use uni_geometry::Camera;
+use crate::scratch::with_probe_target;
+use uni_geometry::{Camera, Image};
+use uni_microops::Trace;
+use uni_scene::BakedScene;
 
 /// Maximum probe pixels along the longer image axis.
 pub const MAX_PROBE_AXIS: u32 = 192;
@@ -21,6 +30,8 @@ pub struct Probe {
     /// `full_pixels / probe_pixels` — the factor for resolution-
     /// proportional counts.
     pub pixel_scale: f64,
+    /// Resolution of the real frame the probe stands for.
+    full: (u32, u32),
 }
 
 impl Probe {
@@ -31,6 +42,7 @@ impl Probe {
             return Self {
                 camera: *camera,
                 pixel_scale: 1.0,
+                full: (camera.width, camera.height),
             };
         }
         let shrink = long_axis as f64 / MAX_PROBE_AXIS as f64;
@@ -42,7 +54,14 @@ impl Probe {
         Self {
             camera: probe_cam,
             pixel_scale: full_px / probe_px,
+            full: (camera.width, camera.height),
         }
+    }
+
+    /// Whether the probe renders the full frame: its camera has the real
+    /// camera's width and height, so probe counts *are* frame counts.
+    pub fn is_identity(&self) -> bool {
+        (self.camera.width, self.camera.height) == self.full
     }
 
     /// Scales a resolution-proportional count up to the full frame.
@@ -50,6 +69,68 @@ impl Probe {
     pub fn scale(&self, probe_count: u64) -> u64 {
         (probe_count as f64 * self.pixel_scale).round() as u64
     }
+}
+
+/// A pipeline whose render pass counts its own work: the stats a trace
+/// is built from fall out of [`Counted::render_counted`], so one pass can
+/// feed both the image and the trace.
+pub(crate) trait Counted {
+    /// Exact work counts of one render pass.
+    type Stats;
+
+    /// Renders one frame into `target` (the `render_into` contract) and
+    /// returns the pass's work counts.
+    fn render_counted(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        target: &mut Image,
+    ) -> Self::Stats;
+
+    /// Counts the work of a frame at `camera` without keeping its image.
+    /// The default renders into this thread's reusable probe target.
+    fn count(&self, scene: &BakedScene, camera: &Camera) -> Self::Stats {
+        with_probe_target(|img| self.render_counted(scene, camera, img))
+    }
+
+    /// Builds the frame trace for `camera` from counts gathered at
+    /// `probe.camera`, scaling resolution-proportional counts by the
+    /// probe's pixel ratio.
+    fn trace_from_stats(
+        &self,
+        scene: &BakedScene,
+        camera: &Camera,
+        probe: &Probe,
+        stats: Self::Stats,
+    ) -> Trace;
+}
+
+/// [`crate::Renderer::trace`] for a [`Counted`] pipeline: count at the probe
+/// resolution, then build the trace.
+pub(crate) fn trace<R: Counted>(renderer: &R, scene: &BakedScene, camera: &Camera) -> Trace {
+    let probe = Probe::plan(camera);
+    let stats = renderer.count(scene, &probe.camera);
+    renderer.trace_from_stats(scene, camera, &probe, stats)
+}
+
+/// [`crate::Renderer::render_traced_into`] for a [`Counted`] pipeline: render
+/// the frame once and, when the probe is the identity, build the trace
+/// from that render's counts. Above the cap the counts come from a
+/// separate probe render, exactly as [`trace`] gathers them.
+pub(crate) fn render_traced_into<R: Counted>(
+    renderer: &R,
+    scene: &BakedScene,
+    camera: &Camera,
+    target: &mut Image,
+) -> Trace {
+    let probe = Probe::plan(camera);
+    let stats = renderer.render_counted(scene, camera, target);
+    let stats = if probe.is_identity() {
+        stats
+    } else {
+        renderer.count(scene, &probe.camera)
+    };
+    renderer.trace_from_stats(scene, camera, &probe, stats)
 }
 
 #[cfg(test)]
@@ -81,6 +162,15 @@ mod tests {
         let full = 1280 * 720;
         let full_f = f64::from(full);
         assert!((recovered as f64 - full_f).abs() / full_f < 0.01);
+    }
+
+    #[test]
+    fn identity_exactly_up_to_the_cap() {
+        assert!(Probe::plan(&cam(MAX_PROBE_AXIS, 144)).is_identity());
+        assert!(Probe::plan(&cam(144, MAX_PROBE_AXIS)).is_identity());
+        assert!(!Probe::plan(&cam(MAX_PROBE_AXIS + 1, 144)).is_identity());
+        assert!(!Probe::plan(&cam(144, MAX_PROBE_AXIS + 1)).is_identity());
+        assert!(!Probe::plan(&cam(1280, 720)).is_identity());
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! seed-era scalar reference within 1e-5 per channel for all six
 //! pipelines, the reusable-target entry point `render_into` must be
 //! bit-identical to `render` (it *is* the same path, writing into a
-//! caller-owned buffer), and the global counting sort must order
+//! caller-owned buffer), `render_traced_into` must match `render_into`
+//! plus `trace` bit for bit, and the global counting sort must order
 //! (tile, depth) pairs exactly like the comparison sort it replaced.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use uni_render::geometry::sampling::XorShift64;
 use uni_render::prelude::*;
+use uni_render::renderers::all_renderers;
 use uni_render::renderers::gaussian_pipeline::{depth_key, sort_pairs_by_tile_and_depth};
+use uni_render::renderers::probe::{Probe, MAX_PROBE_AXIS};
 use uni_render::scene::nn::Layer;
 use uni_render::scene::Activation;
 
@@ -158,6 +161,44 @@ fn render_into_reuses_the_target_allocation() {
         renderer.render_into(scene(), &camera(), &mut target);
         assert_eq!(target.capacity(), cap, "capacity stable across frames");
         assert_eq!(target.pixels().as_ptr(), ptr, "buffer pointer stable");
+    }
+}
+
+/// `render_traced_into` stands in for `render_into` followed by `trace`
+/// on the serving path, so for every pipeline its image must be
+/// bit-identical to `render_into`'s and its trace must equal `trace()`'s.
+/// Checked below the probe cap (96×96, the serving resolution), exactly
+/// at it, where the probe is still the frame, and above it, where the
+/// trace falls back to a separate probe render. The last two cameras
+/// are 4:1 strips so the MLP pipeline stays affordable in a debug build.
+#[test]
+fn render_traced_into_matches_render_into_and_trace_for_all_pipelines() {
+    let resolutions = [(96, 96, true), (MAX_PROBE_AXIS, 48, true), (320, 80, false)];
+    // One shared target across all pipelines and resolutions: the traced
+    // path must fully overwrite whatever the previous frame left behind.
+    let mut traced = Image::new(8, 8, Rgb::WHITE);
+    let mut plain = Image::empty();
+    for (w, h, identity) in resolutions {
+        let camera = camera().with_resolution(w, h);
+        assert_eq!(Probe::plan(&camera).is_identity(), identity, "{w}x{h}");
+        for renderer in all_renderers() {
+            let name = format!("{:?} at {w}x{h}", renderer.pipeline());
+            let trace = renderer.render_traced_into(scene(), &camera, &mut traced);
+            renderer.render_into(scene(), &camera, &mut plain);
+            assert_eq!(
+                (traced.width(), traced.height()),
+                (plain.width(), plain.height()),
+                "{name}: target resized to the camera resolution"
+            );
+            assert!(
+                traced.pixels() == plain.pixels(),
+                "{name}: render_traced_into image must be bit-identical to render_into"
+            );
+            assert!(
+                trace == renderer.trace(scene(), &camera),
+                "{name}: render_traced_into trace must equal trace()"
+            );
+        }
     }
 }
 
