@@ -75,7 +75,10 @@ fn main() {
     json.push_str(
         "  \"note\": \"speedup = seed-era scalar path / SoA+counting-sort+band-parallel path, \
          measured back to back on this host; bands scale near-linearly with cores, so \
-         multi-core hosts multiply the optimized side by roughly the worker count\",\n",
+         multi-core hosts multiply the optimized side by roughly the worker count; \
+         mlp scalar and optimized share the KiloNeRF positional encoding, so a change to \
+         it moves both columns and is judged by optimized_ms before/after, not by \
+         speedup\",\n",
     );
     json.push_str("  \"pipelines\": [\n");
     for (i, pipeline) in PIPELINES.iter().enumerate() {

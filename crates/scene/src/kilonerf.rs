@@ -196,6 +196,12 @@ impl KiloNerfGrid {
 
     /// The MLP index serving `world`, or `None` for empty space.
     pub fn mlp_index_at(&self, world: Vec3) -> Option<u32> {
+        self.locate(world).map(|(mlp_idx, _)| mlp_idx)
+    }
+
+    /// The MLP index serving `world` and its cell-local coordinates in
+    /// `[-1, 1]`, from one normalization; `None` for empty space.
+    fn locate(&self, world: Vec3) -> Option<(u32, Vec3)> {
         let u = self.bounds.normalize_point(world);
         if !(0.0..1.0 + 1e-6).contains(&u.x)
             || !(0.0..1.0 + 1e-6).contains(&u.y)
@@ -204,10 +210,15 @@ impl KiloNerfGrid {
             return None;
         }
         let n = self.resolution;
-        let cell = |v: f32| ((v * n as f32) as u32).min(n - 1);
-        let (x, y, z) = (cell(u.x), cell(u.y), cell(u.z));
-        let a = self.assignment[((z as usize * n as usize) + y as usize) * n as usize + x as usize];
-        (a != EMPTY).then_some(a)
+        let g = u * n as f32;
+        let cell = |v: f32| (v as u32).min(n - 1) as usize;
+        let (x, y, z) = (cell(g.x), cell(g.y), cell(g.z));
+        let a = self.assignment[(z * n as usize + y) * n as usize + x];
+        if a == EMPTY {
+            return None;
+        }
+        let local = Vec3::new(g.x.fract(), g.y.fract(), g.z.fract()) * 2.0 - Vec3::ONE;
+        Some((a, local))
     }
 
     /// Queries density and color at a world point (`None` in empty cells —
@@ -218,8 +229,7 @@ impl KiloNerfGrid {
     /// measuring the seed's cost. Hot paths use
     /// [`KiloNerfGrid::query_scratch`], which runs the wide kernel.
     pub fn query(&self, world: Vec3) -> Option<KiloNerfSample> {
-        let mlp_idx = self.mlp_index_at(world)?;
-        let local = self.local_coords(world);
+        let (mlp_idx, local) = self.locate(world)?;
         let encoded = self.encoding.encode(local);
         let out = self.mlps[mlp_idx as usize].forward_scalar(&encoded);
         Some(self.sample_from(&out))
@@ -232,18 +242,10 @@ impl KiloNerfGrid {
         world: Vec3,
         scratch: &mut KiloNerfScratch,
     ) -> Option<KiloNerfSample> {
-        let mlp_idx = self.mlp_index_at(world)?;
-        let local = self.local_coords(world);
+        let (mlp_idx, local) = self.locate(world)?;
         self.encoding.encode_into(local, &mut scratch.encoded);
         let out = self.mlps[mlp_idx as usize].forward_scratch(&scratch.encoded, &mut scratch.mlp);
         Some(self.sample_from(out))
-    }
-
-    /// Cell-local coordinates in `[-1, 1]` for a world point.
-    fn local_coords(&self, world: Vec3) -> Vec3 {
-        let u = self.bounds.normalize_point(world);
-        let n = self.resolution as f32;
-        Vec3::new((u.x * n).fract(), (u.y * n).fract(), (u.z * n).fract()) * 2.0 - Vec3::ONE
     }
 
     /// Density/color from a raw 4-wide network output.
