@@ -182,15 +182,6 @@ struct Rendered {
     sim: Option<SimReport>,
 }
 
-/// What the render stage hands the replay stage when the server
-/// pipelines: the frame is rendered and traced, its simulation still
-/// pending on the sim pool.
-struct Staged {
-    camera: Camera,
-    image: Image,
-    trace: Trace,
-}
-
 /// The per-session state a worker lane mutates while rendering one of
 /// the session's frames. Guarded by a mutex, but never contended: the
 /// scheduler keeps at most one frame of a session in flight.
@@ -552,15 +543,6 @@ pub struct RenderServer {
     lookahead: usize,
     lanes_requested: usize,
     lane_pool: Option<LanePool>,
-    /// Whether served frames split into a render stage (on `lane_pool`)
-    /// and a trace-replay stage (on `sim_pool`), so a lane starts the
-    /// next frame's render while the previous frame's replay is still
-    /// simulating. Delivery and accounting stay in schedule order, so
-    /// outputs are bit-identical with the overlap off.
-    overlap: bool,
-    /// Replay lanes for the pipelined path; `None` until serving starts
-    /// (and always `None` without an accelerator or with overlap off).
-    sim_pool: Option<LanePool>,
     /// Schedule slots assigned so far (the next slot's index).
     ticks: u64,
     /// Session / pipeline scheduled at the previous tick.
@@ -608,8 +590,6 @@ impl RenderServer {
             lookahead: DEFAULT_LOOKAHEAD,
             lanes_requested: uni_parallel::worker_count(),
             lane_pool: None,
-            overlap: uni_parallel::overlap_enabled(),
-            sim_pool: None,
             ticks: 0,
             last_session: None,
             last_pipeline: None,
@@ -685,24 +665,6 @@ impl RenderServer {
             "lane count must be set before serving starts"
         );
         self.lanes_requested = lanes.max(1);
-        self
-    }
-
-    /// Enables or disables render/replay pipelining (default:
-    /// [`uni_parallel::overlap_enabled`] — on unless
-    /// `UNI_RENDER_OVERLAP=0`). Only effective with an accelerator
-    /// attached; without one there is no replay to overlap with. Never
-    /// changes delivered frames or accounting — only execution overlap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after serving has started.
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        assert!(
-            self.lane_pool.is_none(),
-            "overlap must be set before serving starts"
-        );
-        self.overlap = overlap;
         self
     }
 
@@ -1445,12 +1407,6 @@ impl RenderServer {
     fn fill_lanes(&mut self) {
         if self.lane_pool.is_none() {
             self.lane_pool = Some(LanePool::new(self.lanes_requested));
-            if self.overlap && self.accel.is_some() {
-                // `spawn`, not `new`: even a one-lane server overlaps —
-                // the render runs inline (or on its lane) while the
-                // replay simulates on its own thread.
-                self.sim_pool = Some(LanePool::spawn(self.lanes_requested));
-            }
         }
         let window = {
             let pool = self.lane_pool.as_ref().expect("lane pool created above");
@@ -1512,70 +1468,31 @@ impl RenderServer {
             let scene = Arc::clone(&self.scene);
             let accel = self.accel.clone();
             let pool = self.lane_pool.as_ref().expect("lane pool created above");
-            let ticket = match (accel, &self.sim_pool) {
-                (Some(accel), Some(sim_pool)) => {
-                    // Pipelined: the render lane hands off to the replay
-                    // lane and is free for the next frame immediately.
-                    // Both stages key their lane off the same tick, so
-                    // per-lane FIFO order is still the schedule order.
-                    let render_state = Arc::clone(&state);
-                    let staged: Ticket<Staged> = pool.submit_at(tick, move || {
-                        let mut guard = render_state.lock().expect("session state");
-                        let state = &mut *guard;
-                        let camera = degraded_camera(state.path.camera(index), res_shift);
-                        let mut image = state.pool.acquire_for(camera.width, camera.height);
+            let ticket = pool.submit_at(tick, move || {
+                let mut guard = state.lock().expect("session state");
+                let state = &mut *guard;
+                let camera = degraded_camera(state.path.camera(index), res_shift);
+                let mut image = state.pool.acquire_for(camera.width, camera.height);
+                let (trace, sim) = match &accel {
+                    Some(accel) => {
                         let trace = state
                             .renderer
                             .render_traced_into(&scene, &camera, &mut image);
-                        Staged {
-                            camera,
-                            image,
-                            trace,
-                        }
-                    });
-                    sim_pool.submit_at(tick, move || {
-                        let staged = staged.wait();
-                        // The state mutex is uncontended: at most one
-                        // frame of a session is in flight, and this
-                        // frame's render stage already released it.
-                        let sim = {
-                            let mut guard = state.lock().expect("session state");
-                            accel.simulate_with_scratch(&staged.trace, &mut guard.replay)
-                        };
-                        Rendered {
-                            camera: staged.camera,
-                            image: staged.image,
-                            trace: Some(staged.trace),
-                            sim: Some(sim),
-                        }
-                    })
-                }
-                (accel, _) => pool.submit_at(tick, move || {
-                    let mut guard = state.lock().expect("session state");
-                    let state = &mut *guard;
-                    let camera = degraded_camera(state.path.camera(index), res_shift);
-                    let mut image = state.pool.acquire_for(camera.width, camera.height);
-                    let (trace, sim) = match &accel {
-                        Some(accel) => {
-                            let trace = state
-                                .renderer
-                                .render_traced_into(&scene, &camera, &mut image);
-                            let sim = accel.simulate_with_scratch(&trace, &mut state.replay);
-                            (Some(trace), Some(sim))
-                        }
-                        None => {
-                            state.renderer.render_into(&scene, &camera, &mut image);
-                            (None, None)
-                        }
-                    };
-                    Rendered {
-                        camera,
-                        image,
-                        trace,
-                        sim,
+                        let sim = accel.simulate_with_scratch(&trace, &mut state.replay);
+                        (Some(trace), Some(sim))
                     }
-                }),
-            };
+                    None => {
+                        state.renderer.render_into(&scene, &camera, &mut image);
+                        (None, None)
+                    }
+                };
+                Rendered {
+                    camera,
+                    image,
+                    trace,
+                    sim,
+                }
+            });
             self.pending.push_back(Pending {
                 session: sid,
                 index,

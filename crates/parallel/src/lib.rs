@@ -126,26 +126,6 @@ impl LanePool {
         if !is_parallel() || lanes == 1 {
             return Self { lanes: Vec::new() };
         }
-        Self::spawn_lanes(lanes)
-    }
-
-    /// Creates a pool that runs off the calling thread even with a single
-    /// lane, so a submitted job can overlap work the caller keeps doing —
-    /// the shape the render/replay pipelining in `uni-engine` needs (a
-    /// one-lane [`LanePool::new`] would run replay inline and serialize).
-    ///
-    /// Still degenerates to inline execution when threading is
-    /// unavailable (`UNI_RENDER_THREADS=1` or the `threads` feature is
-    /// off), keeping results bit-identical at every thread count.
-    pub fn spawn(lanes: usize) -> Self {
-        let lanes = lanes.max(1);
-        if !is_parallel() {
-            return Self { lanes: Vec::new() };
-        }
-        Self::spawn_lanes(lanes)
-    }
-
-    fn spawn_lanes(lanes: usize) -> Self {
         let lanes = (0..lanes)
             .map(|i| {
                 let (tx, rx) = mpsc::channel::<LaneJob>();
@@ -306,22 +286,6 @@ pub fn worker_count() -> usize {
 /// Whether the helpers will actually spawn threads.
 pub fn is_parallel() -> bool {
     worker_count() > 1
-}
-
-/// Whether render/replay pipelining defaults on (`UNI_RENDER_OVERLAP`).
-///
-/// On unless the variable is set to `0`, `off`, or `false`. Overlap only
-/// changes *when* work executes — delivered frames, traces, reports, and
-/// all schedule-order accounting are bit-identical either way — so the
-/// knob exists for debugging and for callers that want the seed-era
-/// single-framebuffer streaming behavior back
-/// (`RenderSession::with_overlap(false)` per session, or this env var
-/// globally).
-pub fn overlap_enabled() -> bool {
-    match std::env::var("UNI_RENDER_OVERLAP") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    }
 }
 
 /// Splits `data` into consecutive chunks of `band_len` elements (the last
@@ -500,8 +464,12 @@ mod tests {
         );
     }
 
+    /// Serializes the tests that pin the process-wide worker count.
+    static PIN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn worker_pin_overrides_environment() {
+        let _pin = PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = set_worker_count(Some(3));
         #[cfg(feature = "threads")]
         assert_eq!(worker_count(), 3);
@@ -610,38 +578,31 @@ mod tests {
     }
 
     #[test]
-    fn spawned_single_lane_pool_runs_off_thread_when_parallel() {
-        let pool = LanePool::spawn(1);
-        assert_eq!(pool.lanes(), 1);
-        if is_parallel() {
-            assert!(!pool.is_inline(), "spawn(1) must not run inline");
-        } else {
-            assert!(pool.is_inline(), "serial environments stay inline");
-        }
-        let tickets: Vec<Ticket<usize>> = (0..6)
-            .map(|i| pool.submit_at(i as u64, move || i * 2))
-            .collect();
-        let results: Vec<usize> = tickets.into_iter().map(Ticket::wait).collect();
-        assert_eq!(results, (0..6).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn panic_message_carries_lane_and_tick_provenance() {
-        // spawn_lanes directly: bypasses the inline fallback so the
-        // off-thread provenance path is exercised even when the test
-        // environment itself is single-threaded.
-        let pool = LanePool::spawn_lanes(2);
+        // Pin two workers so the pool runs off-thread even when the
+        // environment asks for one. Without the `threads` feature the
+        // pool stays inline and the original panic surfaces at submit.
+        let pool = {
+            let _pin = PIN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            let prev = set_worker_count(Some(2));
+            let pool = LanePool::new(2);
+            set_worker_count(prev);
+            pool
+        };
+        assert_eq!(pool.is_inline(), !cfg!(feature = "threads"));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.submit_at(7, || panic!("splat buffer overflow")).wait()
         }))
-        .expect_err("the job panic must surface at wait");
+        .expect_err("the job panic must reach the submitter");
         let msg = panic_payload_text(caught.as_ref());
-        assert!(msg.contains("lane 1"), "names the lane (7 % 2): {msg}");
-        assert!(msg.contains("tick 7"), "names the schedule slot: {msg}");
         assert!(
             msg.contains("splat buffer overflow"),
             "carries the original payload: {msg}"
         );
+        if !pool.is_inline() {
+            assert!(msg.contains("lane 1"), "names the lane (7 % 2): {msg}");
+            assert!(msg.contains("tick 7"), "names the schedule slot: {msg}");
+        }
     }
 
     #[test]

@@ -53,9 +53,8 @@
 //! }
 //! let summary = session.summary();
 //! assert_eq!(summary.frames, 4);
-//! // Render/replay pipelining double-buffers; `with_overlap(false)`
-//! // (or UNI_RENDER_OVERLAP=0) restores the single-buffer stream.
-//! assert_eq!(summary.framebuffer_allocations, 2);
+//! // Recycling every frame keeps the stream on one framebuffer.
+//! assert_eq!(summary.framebuffer_allocations, 1);
 //! assert!(summary.mean_fps() > 0.0);
 //! ```
 //!
@@ -80,9 +79,9 @@ pub mod prelude {
         AdmissionControl, AdmitDecision, CameraPath, CostAware, DegradePolicy, EarliestDeadline,
         FleetAdmitDecision, FleetCacheStats, FleetFrame, FleetHandle, FleetSessionRequest,
         FleetSummary, FramePool, FrameReport, LoadView, PolicyContext, Priority, RenderServer,
-        RenderSession, RoundRobin, SceneCache, SceneCacheConfig, SceneKey, ScheduleContext,
-        SchedulePolicy, ServedFrame, ServerFleet, ServerSummary, SessionHandle, SessionRequest,
-        SessionStats, SessionView, ShardSummary, StreamSummary, SwitchCostModel, WeightedFair,
+        RenderSession, RoundRobin, SceneCache, SceneCacheConfig, SceneKey, SchedulePolicy,
+        ServedFrame, ServerFleet, ServerSummary, SessionHandle, SessionRequest, SessionStats,
+        SessionView, ShardSummary, StreamSummary, SwitchCostModel, WeightedFair,
     };
     pub use uni_geometry::{Aabb, Camera, Image, Mat4, Orbit, Ray, Rgb, Vec2, Vec3, Vec4};
     pub use uni_microops::{MicroOp, Pipeline, Trace};

@@ -103,16 +103,30 @@ fn steady_state_frames_allocate_bounded_multi_threaded() {
 }
 
 /// The framebuffer itself is pooled: the whole measured stream reuses
-/// one allocation per session as long as frames are recycled.
+/// one allocation per session as long as frames are recycled — with or
+/// without an accelerator, at any thread count.
 #[test]
 fn framebuffer_pool_reuses_one_allocation() {
     let _guard = common::env_lock();
-    common::with_threads("1", || {
-        let path = CameraPath::orbit(scene().spec().orbit(32, 24), 5);
-        let mut session = RenderSession::new(Arc::clone(scene()), common::renderer(0), path);
-        while let Some(frame) = session.next_frame() {
-            session.recycle(frame.image);
+    for threads in ["1", "4"] {
+        for accelerated in [false, true] {
+            common::with_threads(threads, || {
+                let path = CameraPath::orbit(scene().spec().orbit(32, 24), 5);
+                let mut session =
+                    RenderSession::new(Arc::clone(scene()), common::renderer(0), path);
+                if accelerated {
+                    session =
+                        session.with_accelerator(Accelerator::new(AcceleratorConfig::paper()));
+                }
+                while let Some(frame) = session.next_frame() {
+                    session.recycle(frame.image);
+                }
+                assert_eq!(
+                    session.pool().allocations(),
+                    1,
+                    "threads {threads}, accelerated {accelerated}"
+                );
+            });
         }
-        assert_eq!(session.pool().allocations(), 1);
-    });
+    }
 }

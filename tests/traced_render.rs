@@ -81,10 +81,8 @@ fn counting(pipeline: usize) -> (Box<dyn Renderer + Send>, Arc<Calls>) {
 
 /// Serves one session per pipeline and returns each session's delivered
 /// frame count beside its renderer's call counts.
-fn serve(accelerated: bool, overlap: bool, lanes: usize) -> Vec<(u64, (u64, u64, u64))> {
-    let mut server = RenderServer::new(Arc::clone(scene()))
-        .with_lanes(lanes)
-        .with_overlap(overlap);
+fn serve(accelerated: bool, lanes: usize) -> Vec<(u64, (u64, u64, u64))> {
+    let mut server = RenderServer::new(Arc::clone(scene())).with_lanes(lanes);
     if accelerated {
         server = server.with_accelerator(Accelerator::new(AcceleratorConfig::paper()));
     }
@@ -111,12 +109,11 @@ fn serve(accelerated: bool, overlap: bool, lanes: usize) -> Vec<(u64, (u64, u64,
 
 /// Streams one session per pipeline and returns each stream's delivered
 /// frame count beside its renderer's call counts.
-fn stream(accelerated: bool, overlap: bool) -> Vec<(u64, (u64, u64, u64))> {
+fn stream(accelerated: bool) -> Vec<(u64, (u64, u64, u64))> {
     (0..6)
         .map(|pipeline| {
             let (renderer, calls) = counting(pipeline);
-            let mut session = RenderSession::new(Arc::clone(scene()), renderer, orbit_path(3))
-                .with_overlap(overlap);
+            let mut session = RenderSession::new(Arc::clone(scene()), renderer, orbit_path(3));
             if accelerated {
                 session = session.with_accelerator(Accelerator::new(AcceleratorConfig::paper()));
             }
@@ -159,20 +156,18 @@ fn assert_untraced_renders_only(counts: &[(u64, (u64, u64, u64))]) {
 
 #[test]
 fn accelerated_server_renders_each_frame_once() {
-    for (overlap, lanes) in [(false, 1), (false, 3), (true, 1), (true, 3)] {
-        assert_one_traced_render_per_frame(&serve(true, overlap, lanes));
+    for lanes in [1, 3] {
+        assert_one_traced_render_per_frame(&serve(true, lanes));
     }
 }
 
 #[test]
 fn accelerated_session_renders_each_frame_once() {
-    for overlap in [false, true] {
-        assert_one_traced_render_per_frame(&stream(true, overlap));
-    }
+    assert_one_traced_render_per_frame(&stream(true));
 }
 
 #[test]
 fn accelerator_less_serving_never_traces() {
-    assert_untraced_renders_only(&serve(false, false, 2));
-    assert_untraced_renders_only(&stream(false, false));
+    assert_untraced_renders_only(&serve(false, 2));
+    assert_untraced_renders_only(&stream(false));
 }
