@@ -19,9 +19,10 @@ use crate::synthetic::SceneSpec;
 use crate::triplane::{PlaneAxis, Triplane};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use uni_geometry::camera::Orbit;
 use uni_geometry::sampling::XorShift64;
-use uni_geometry::{sh, Aabb, Vec2, Vec3};
+use uni_geometry::{sh, Aabb, Rgb, Vec2, Vec3};
 
 /// Number of feature channels baked everywhere:
 /// `[diffuse r, g, b, specular, nx, ny, nz, occupancy]`.
@@ -254,12 +255,21 @@ fn surface_features(field: &AnalyticField, p: Vec3) -> [f32; FEATURE_CHANNELS as
 }
 
 /// Bakes the texture atlas by forward-splatting triangle samples.
+///
+/// Last writer wins: a texel holds the features of the last sample, in
+/// triangle then sample order, that lands on it. The sample pass therefore
+/// only records that sample's surface point in the texel itself (channels
+/// 0–2, occupancy set), and the field is evaluated once per covered texel
+/// afterwards.
 fn bake_texture(mesh: &TriangleMesh, field: &AnalyticField, resolution: u32) -> Texture2d {
+    const OCCUPANCY: usize = FEATURE_CHANNELS as usize - 1;
     let mut tex = Texture2d::new(resolution, resolution, FEATURE_CHANNELS);
     if mesh.triangle_count() == 0 {
         return tex;
     }
     let res = resolution as f32;
+    let mut record = [0f32; FEATURE_CHANNELS as usize];
+    record[OCCUPANCY] = 1.0;
     for t in 0..mesh.triangle_count() {
         let [a, b, c] = mesh.triangle(t);
         let [ua, ub, uc] = mesh.triangle_uvs(t);
@@ -276,22 +286,40 @@ fn bake_texture(mesh: &TriangleMesh, field: &AnalyticField, resolution: u32) -> 
             let uv = ua * w0 + ub * w1 + uc * w2;
             let x = ((uv.x * res) as u32).min(resolution - 1);
             let y = ((uv.y * res) as u32).min(resolution - 1);
-            tex.set_texel(x, y, &surface_features(field, p));
+            record[..3].copy_from_slice(&[p.x, p.y, p.z]);
+            tex.set_texel(x, y, &record);
+        }
+    }
+    for y in 0..resolution {
+        for x in 0..resolution {
+            let texel = tex.texel(x, y);
+            if texel[OCCUPANCY] > 0.0 {
+                let p = Vec3::new(texel[0], texel[1], texel[2]);
+                tex.set_texel(x, y, &surface_features(field, p));
+            }
         }
     }
     dilate(&mut tex);
     tex
 }
 
-/// One dilation pass: fills unoccupied texels (channel 7 == 0) from any
-/// occupied 4-neighbor, so bilinear fetches near seams stay meaningful.
+/// Two dilation passes fill unoccupied texels (last channel == 0) from
+/// an occupied 4-neighbour, so bilinear fetches near seams stay
+/// meaningful. Each pass decides from the occupancy before the pass: an
+/// unoccupied texel copies its first occupied neighbour in left, right,
+/// up, down order, and occupied texels are never written. A copied
+/// neighbour therefore still holds its value from before the pass, and
+/// every filled texel's one writer is that neighbour.
 fn dilate(tex: &mut Texture2d) {
     let (w, h, c) = (tex.width(), tex.height(), tex.channels() as usize);
+    let mut occupied = vec![false; (w * h) as usize];
     for _ in 0..2 {
-        let snapshot = tex.clone();
+        for (i, o) in occupied.iter_mut().enumerate() {
+            *o = tex.texel(i as u32 % w, i as u32 / w)[c - 1] > 0.0;
+        }
         for y in 0..h {
             for x in 0..w {
-                if snapshot.texel(x, y)[c - 1] > 0.0 {
+                if occupied[(y * w + x) as usize] {
                     continue;
                 }
                 let neighbors = [
@@ -300,12 +328,11 @@ fn dilate(tex: &mut Texture2d) {
                     (x, y.wrapping_sub(1)),
                     (x, y + 1),
                 ];
-                for (nx, ny) in neighbors {
-                    if nx < w && ny < h && snapshot.texel(nx, ny)[c - 1] > 0.0 {
-                        let v = snapshot.texel(nx, ny).to_vec();
-                        tex.set_texel(x, y, &v);
-                        break;
-                    }
+                if let Some(from) = neighbors
+                    .into_iter()
+                    .find(|&(nx, ny)| nx < w && ny < h && occupied[(ny * w + nx) as usize])
+                {
+                    tex.copy_texel(from, (x, y));
                 }
             }
         }
@@ -369,7 +396,8 @@ fn bake_gaussians(
     let spacing = (total_area / count as f32).sqrt();
     let n_coeffs = cloud.coeffs_per_channel();
 
-    // Deterministic projection directions (spherical Fibonacci).
+    // Deterministic projection directions (spherical Fibonacci) and their
+    // SH basis rows, shared by every Gaussian.
     let n_dirs = 32usize;
     let dirs: Vec<Vec3> = (0..n_dirs)
         .map(|i| {
@@ -380,16 +408,19 @@ fn bake_gaussians(
             Vec3::new(r * phi.cos(), y, r * phi.sin())
         })
         .collect();
-    let mut basis = vec![0f32; n_coeffs];
+    let mut basis = vec![0f32; n_dirs * n_coeffs];
+    for (d, row) in dirs.iter().zip(basis.chunks_exact_mut(n_coeffs)) {
+        sh::eval_basis(*d, row);
+    }
+    let w = 4.0 * std::f32::consts::PI / n_dirs as f32;
+    let mut colors = vec![Rgb::BLACK; n_dirs];
 
     for _ in 0..count {
         let (p, normal) = sample_surface(mesh, &areas, rng);
+        field.sample_views(p, &dirs, &mut colors);
         // SH-project radiance: c_i = (4π/N) Σ_d (L(d) - 0.5) b_i(d).
         let mut coeffs = vec![0f32; 3 * n_coeffs];
-        for d in &dirs {
-            let color = field.sample(p, *d).color;
-            sh::eval_basis(*d, &mut basis);
-            let w = 4.0 * std::f32::consts::PI / n_dirs as f32;
+        for (color, basis) in colors.iter().zip(basis.chunks_exact(n_coeffs)) {
             for i in 0..n_coeffs {
                 coeffs[i] += (color.r - 0.5) * basis[i] * w;
                 coeffs[n_coeffs + i] += (color.g - 0.5) * basis[i] * w;
@@ -407,8 +438,37 @@ fn bake_gaussians(
     cloud
 }
 
+/// Hasher for the hash-grid bake's vertex seen-set. The set is only
+/// asked for membership and never iterated, so a fixed multiplicative
+/// hash is enough; the fold brings high key bits into the low bits the
+/// table indexes by.
+#[derive(Default)]
+struct VertexKeyHasher(u64);
+
+impl Hasher for VertexKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Bakes the multi-level hash grid from surface + volume samples, writing
 /// field attributes at every touched vertex (deduplicated).
+///
+/// Vertices are visited in first-seen order and a later vertex
+/// overwrites an earlier one that hashes to the same slot, so each slot
+/// keeps its last first-seen vertex. The sample pass records that vertex
+/// per slot (one `u64` per slot, `NO_VERTEX` if untouched); the field is
+/// then evaluated once per recorded slot.
 fn bake_hashgrid(
     mesh: &TriangleMesh,
     field: &AnalyticField,
@@ -416,13 +476,31 @@ fn bake_hashgrid(
     bounds: Aabb,
     rng: &mut XorShift64,
 ) -> HashGrid {
+    const NO_VERTEX: u64 = u64::MAX;
     let mut grid = HashGrid::new(config, bounds);
     if mesh.triangle_count() == 0 {
         return grid;
     }
+    // Vertex coordinates pack into 20 bits each, the level into the top 4.
+    let verts: Vec<u32> = (0..config.levels)
+        .map(|l| config.level_resolution(l) + 1)
+        .collect();
+    assert!(
+        config.levels <= 16 && verts.iter().all(|&v| v < 1 << 20),
+        "hash-grid bake packs levels in 4 bits and vertices in 20"
+    );
+    let key = |l: u32, x: u32, y: u32, z: u32| {
+        u64::from(l) << 60 | u64::from(x) << 40 | u64::from(y) << 20 | u64::from(z)
+    };
+    let mut level_start = vec![0usize; config.levels as usize + 1];
+    for l in 0..config.levels as usize {
+        level_start[l + 1] = level_start[l] + grid.level_slots(l as u32);
+    }
+    let mut owner = vec![NO_VERTEX; level_start[config.levels as usize]];
+
     let areas = cumulative_areas(mesh);
     let samples = (mesh.triangle_count() as u32 * 3).clamp(1_024, 400_000);
-    let mut seen: HashSet<(u32, u32, u32, u32)> = HashSet::new();
+    let mut seen: HashSet<u64, BuildHasherDefault<VertexKeyHasher>> = HashSet::default();
     let shell = bounds.diagonal() * 0.01;
 
     for s in 0..samples {
@@ -435,7 +513,7 @@ fn bake_hashgrid(
         };
         let u = bounds.normalize_point(p).clamp(0.0, 1.0);
         for l in 0..config.levels {
-            let res = config.level_resolution(l) + 1;
+            let res = verts[l as usize];
             let cx = uni_geometry::interp::cell_coord(u.x, res);
             let cy = uni_geometry::interp::cell_coord(u.y, res);
             let cz = uni_geometry::interp::cell_coord(u.z, res);
@@ -443,25 +521,34 @@ fn bake_hashgrid(
                 let x = cx.base as u32 + (corner & 1);
                 let y = cy.base as u32 + ((corner >> 1) & 1);
                 let z = cz.base as u32 + ((corner >> 2) & 1);
-                if !seen.insert((l, x, y, z)) {
-                    continue;
+                let k = key(l, x, y, z);
+                if seen.insert(k) {
+                    owner[level_start[l as usize] + grid.slot(l, x, y, z)] = k;
                 }
-                let vw = bounds.denormalize_point(Vec3::new(
-                    x as f32 / (res - 1) as f32,
-                    y as f32 / (res - 1) as f32,
-                    z as f32 / (res - 1) as f32,
-                ));
-                let a = field.attributes(vw);
-                let density = field.density(vw) / PEAK_DENSITY;
-                grid.write_vertex(
-                    l,
-                    x,
-                    y,
-                    z,
-                    &[density, a.diffuse.r, a.diffuse.g, a.diffuse.b],
-                );
             }
         }
+    }
+
+    let mask = (1u64 << 20) - 1;
+    for &k in owner.iter().filter(|&&k| k != NO_VERTEX) {
+        let (l, x, y, z) = (
+            (k >> 60) as u32,
+            (k >> 40 & mask) as u32,
+            (k >> 20 & mask) as u32,
+            (k & mask) as u32,
+        );
+        let last = (verts[l as usize] - 1) as f32;
+        let vw =
+            bounds.denormalize_point(Vec3::new(x as f32 / last, y as f32 / last, z as f32 / last));
+        let a = field.attributes(vw);
+        let density = field.density(vw) / PEAK_DENSITY;
+        grid.write_vertex(
+            l,
+            x,
+            y,
+            z,
+            &[density, a.diffuse.r, a.diffuse.g, a.diffuse.b],
+        );
     }
     grid
 }
@@ -760,6 +847,121 @@ mod tests {
             a.gaussians().gaussians[0].mean,
             b.gaussians().gaussians[0].mean
         );
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
+    fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u32>) -> u64 {
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    fn bits(v: &[f32]) -> impl Iterator<Item = u32> + '_ {
+        v.iter().map(|x| x.to_bits())
+    }
+
+    /// Bit-exact hashes of `[mesh, texture, gaussians, hashgrid,
+    /// triplane]`. The trained MLPs are left out: their bits depend on
+    /// the `simd` feature.
+    fn baked_hashes(s: &BakedScene) -> [u64; 5] {
+        let m = s.mesh();
+        let mut mesh = fnv1a(
+            FNV_OFFSET,
+            m.positions
+                .iter()
+                .flat_map(|p| [p.x, p.y, p.z].map(f32::to_bits)),
+        );
+        mesh = fnv1a(
+            mesh,
+            m.uvs.iter().flat_map(|uv| [uv.x, uv.y].map(f32::to_bits)),
+        );
+        mesh = fnv1a(mesh, m.indices.iter().copied());
+        let texture = fnv1a(FNV_OFFSET, bits(s.texture().data()));
+        let mut gaussians = FNV_OFFSET;
+        for g in &s.gaussians().gaussians {
+            let (p, sc, q) = (g.mean, g.scale, g.rotation);
+            let fixed = [
+                p.x, p.y, p.z, sc.x, sc.y, sc.z, q.x, q.y, q.z, q.w, g.opacity,
+            ];
+            gaussians = fnv1a(gaussians, fixed.map(f32::to_bits));
+            gaussians = fnv1a(gaussians, bits(&g.sh_coeffs));
+        }
+        let hashgrid = fnv1a(FNV_OFFSET, bits(s.hashgrid().tables()));
+        let mut triplane = fnv1a(FNV_OFFSET, bits(s.triplane().grid()));
+        for axis in PlaneAxis::ALL {
+            triplane = fnv1a(triplane, bits(s.triplane().plane(axis).data()));
+        }
+        [mesh, texture, gaussians, hashgrid, triplane]
+    }
+
+    /// Pins every baked bit of the non-MLP representations for two specs:
+    /// this module's scene and the golden-frame scene of
+    /// `tests/golden_frames.rs`. A bake rewrite must keep these
+    /// constants; a deliberate change of the baked bits re-blesses them
+    /// with the printed values.
+    #[test]
+    fn baked_bits_are_pinned() {
+        let golden = SceneSpec::demo("golden", 424_242).with_detail(0.05).bake();
+        let got = [baked_hashes(scene()), baked_hashes(&golden)];
+        let want: [[u64; 5]; 2] = [
+            [
+                0xb0e89b9128533847,
+                0xd2f3a6af5efd83b1,
+                0x57e5c369c9501486,
+                0x035153e0d736c619,
+                0x17e03c420fd2eaaf,
+            ],
+            [
+                0xdbaf178a1b215f7b,
+                0xe0089d810cb696db,
+                0xaf5f6d5151c4ce9a,
+                0xf9a3eff66cdb74dc,
+                0x280fb901205df234,
+            ],
+        ];
+        assert_eq!(got, want, "baked bits moved: {got:#018x?}");
+    }
+
+    /// Dilation spreads occupied texels exactly two 4-neighbour rings,
+    /// each pass reading the occupancy from before the pass, takes the
+    /// first occupied neighbour in left, right, up, down order, and never
+    /// rewrites an occupied texel.
+    #[test]
+    fn dilation_spreads_two_rings_with_fixed_neighbour_priority() {
+        let mut tex = Texture2d::new(8, 8, 2);
+        tex.set_texel(3, 4, &[7.0, 0.5]);
+        dilate(&mut tex);
+        for y in 0..8u32 {
+            for x in 0..8u32 {
+                let ring = x.abs_diff(3) + y.abs_diff(4);
+                let want: &[f32] = if ring <= 2 { &[7.0, 0.5] } else { &[0.0, 0.0] };
+                assert_eq!(tex.texel(x, y), want, "texel ({x}, {y}), ring {ring}");
+            }
+        }
+
+        // Around the empty texel (4, 4): left 1, right 2, up 3, down 4.
+        let neighbours = [(3, 4), (5, 4), (4, 3), (4, 5)];
+        for first in 0..neighbours.len() {
+            let mut tex = Texture2d::new(8, 8, 2);
+            for (i, &(x, y)) in neighbours.iter().enumerate().skip(first) {
+                tex.set_texel(x, y, &[i as f32 + 1.0, 1.0]);
+            }
+            dilate(&mut tex);
+            assert_eq!(tex.texel(4, 4), &[first as f32 + 1.0, 1.0]);
+            for (i, &(x, y)) in neighbours.iter().enumerate().skip(first) {
+                assert_eq!(
+                    tex.texel(x, y),
+                    &[i as f32 + 1.0, 1.0],
+                    "occupied texel kept"
+                );
+            }
+        }
     }
 
     #[test]

@@ -248,13 +248,31 @@ impl AnalyticField {
     /// Samples density and view-dependent radiance at `p` looking along
     /// `view_dir` (pointing *away* from the camera).
     pub fn sample(&self, p: Vec3, view_dir: Vec3) -> FieldSample {
+        let mut color = [Rgb::BLACK];
+        let density = self.sample_views(p, &[view_dir], &mut color);
+        FieldSample {
+            density,
+            color: color[0],
+        }
+    }
+
+    /// Samples `p` along many view directions at once: writes the
+    /// radiance toward `view_dirs[i]` into `colors[i]` and returns the
+    /// density. The view-independent part (SDF, density, nearest
+    /// primitive, normal, diffuse term) is evaluated once for all
+    /// directions; each colour is bit-identical to
+    /// `self.sample(p, view_dirs[i]).color`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices differ in length.
+    pub fn sample_views(&self, p: Vec3, view_dirs: &[Vec3], colors: &mut [Rgb]) -> f32 {
+        assert_eq!(view_dirs.len(), colors.len(), "one colour per view");
         let (d, idx) = self.sdf(p);
         let density = self.peak_density / (1.0 + (d * self.sharpness).exp());
         if density < 1e-4 || self.primitives.is_empty() {
-            return FieldSample {
-                density,
-                color: self.background,
-            };
+            colors.fill(self.background);
+            return density;
         }
         let prim = &self.primitives[idx];
         let n = self.normal(p);
@@ -262,19 +280,20 @@ impl AnalyticField {
         // the primitive's specular tint gives genuine view dependence.
         let light_dir = LIGHT_DIR.normalized();
         let diffuse = n.dot(light_dir).max(0.0);
-        let half = (light_dir - view_dir).normalized();
-        let spec = n.dot(half).max(0.0).powi(16) * prim.specular;
-        let lit = prim.albedo * (0.35 + 0.65 * diffuse) + Rgb::WHITE * spec;
-        FieldSample {
-            density,
-            color: lit.saturate(),
+        let base = prim.albedo * (0.35 + 0.65 * diffuse);
+        for (view_dir, color) in view_dirs.iter().zip(colors) {
+            let half = (light_dir - *view_dir).normalized();
+            let spec = n.dot(half).max(0.0).powi(16) * prim.specular;
+            *color = (base + Rgb::WHITE * spec).saturate();
         }
+        density
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn two_sphere_field() -> AnalyticField {
         AnalyticField::new(vec![
@@ -396,5 +415,41 @@ mod tests {
         let s = f.sample(Vec3::ZERO, Vec3::Z);
         assert_eq!(s.color, f.background());
         assert!(!f.content_bounds().is_empty());
+    }
+
+    proptest! {
+        /// Every colour of a multi-direction sample is bit-identical to
+        /// the one-direction sample, inside the unit sphere (band 0), on
+        /// its surface (band 1) and far outside both spheres, where the
+        /// background branch applies (band 2).
+        #[test]
+        fn prop_sample_views_matches_sample_bit_for_bit(
+            band in 0u32..3,
+            (px, py, pz) in (-1f32..1.0, -1f32..1.0, -1f32..1.0),
+            radius in 0f32..1.0,
+            (vx, vy, vz) in (-1f32..1.0, -1f32..1.0, -1f32..1.0),
+        ) {
+            let dir = Vec3::new(px, py, pz);
+            let view = Vec3::new(vx, vy, vz);
+            prop_assume!(dir.length() > 1e-3 && view.length() > 1e-3);
+            let f = two_sphere_field();
+            let r = match band {
+                0 => 0.9 * radius,
+                1 => 1.0,
+                _ => 6.0 + 14.0 * radius,
+            };
+            let p = dir.normalized() * r;
+            let view = view.normalized();
+            let views = [view, -view, Vec3::new(view.z, view.x, view.y), -LIGHT_DIR.normalized()];
+            let mut colors = [Rgb::BLACK; 4];
+            let density = f.sample_views(p, &views, &mut colors);
+            prop_assert_eq!(density < 1e-4, band == 2);
+            for (d, c) in views.iter().zip(colors) {
+                let one = f.sample(p, *d);
+                prop_assert_eq!(one.density.to_bits(), density.to_bits());
+                let bits = |c: Rgb| [c.r, c.g, c.b].map(f32::to_bits);
+                prop_assert_eq!(bits(one.color), bits(c));
+            }
+        }
     }
 }

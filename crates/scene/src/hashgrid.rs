@@ -180,6 +180,17 @@ impl HashGrid {
         self.bounds
     }
 
+    /// Number of table slots on level `l`: `min(vertices³, T)`.
+    pub(crate) fn level_slots(&self, l: u32) -> usize {
+        self.level_meta[l as usize].len / self.config.features_per_entry as usize
+    }
+
+    /// Every level's feature table, concatenated (bake checks).
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> &[f32] {
+        &self.tables
+    }
+
     /// Level `l`'s segment of the flat feature buffer.
     fn table(&self, l: usize) -> &[f32] {
         let m = &self.level_meta[l];

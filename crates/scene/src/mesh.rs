@@ -77,6 +77,26 @@ impl Texture2d {
         self.data[i..i + values.len()].copy_from_slice(values);
     }
 
+    /// Copies all channels of texel `from` onto texel `to` (dilation).
+    pub(crate) fn copy_texel(&mut self, from: (u32, u32), to: (u32, u32)) {
+        assert!(
+            from.0 < self.width && from.1 < self.height && to.0 < self.width && to.1 < self.height,
+            "texel out of bounds"
+        );
+        let (src, dst) = (
+            self.texel_index(from.0, from.1),
+            self.texel_index(to.0, to.1),
+        );
+        self.data
+            .copy_within(src..src + self.channels as usize, dst);
+    }
+
+    /// Every texel's channels, row-major (bake checks).
+    #[cfg(test)]
+    pub(crate) fn data(&self) -> &[f32] {
+        &self.data
+    }
+
     /// Reads all channels of texel `(x, y)`.
     pub fn texel(&self, x: u32, y: u32) -> &[f32] {
         let i = self.texel_index(x.min(self.width - 1), y.min(self.height - 1));

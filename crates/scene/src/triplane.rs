@@ -152,6 +152,12 @@ impl Triplane {
         self.grid[idx..idx + c].copy_from_slice(features);
     }
 
+    /// The dense low-res grid, `r³ × channels` (bake checks).
+    #[cfg(test)]
+    pub(crate) fn grid(&self) -> &[f32] {
+        &self.grid
+    }
+
     fn grid_vertex(&self, x: u32, y: u32, z: u32) -> &[f32] {
         let r = self.config.grid_resolution;
         let c = self.config.channels as usize;
